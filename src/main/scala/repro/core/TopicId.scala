@@ -48,6 +48,16 @@ object TopicId {
       paths: Seq[String],
   )
 
+  /** Eq. 1: Jaccard similarity of a page's KB-known strings and the
+    * entity's object set.
+    */
+  private def jaccard(pageSet: Set[String], entity: String, kb: KnowledgeBase): Double = {
+    val objs  = kb.objectsOf.getOrElse(entity, Set.empty)
+    val inter = (pageSet & objs).size
+    val union = pageSet.size + objs.size - inter
+    if (union == 0) 0.0 else inter.toDouble / union
+  }
+
   /** Jaccard-scored candidates of one page, best first (Alg. 1 lines 2–9). */
   def scoreEntities(page: PageDoc, kb: KnowledgeBase, topK: Int = 5): Vector[(String, Double, Vector[String])] = {
     val pageSet = EntityMatch.pageStrings(page, kb)
@@ -60,12 +70,7 @@ object TopicId {
       .groupBy(_._1)
       .map { case (e, xs) => e -> xs.map(_._2) }
     candidateMentions.toVector
-      .map { case (e, paths) =>
-        val objs  = kb.objectsOf.getOrElse(e, Set.empty)
-        val inter = (pageSet & objs).size
-        val union = pageSet.size + objs.size - inter
-        (e, if (union == 0) 0.0 else inter.toDouble / union, paths)
-      }
+      .map { case (e, paths) => (e, jaccard(pageSet, e, kb), paths) }
       .filter(_._2 > 0)
       .sortBy { case (e, s, _) => (-s, e) }
       .take(topK)
@@ -140,12 +145,7 @@ object TopicId {
                 .getOrElse(norm, Set.empty)
                 .filterNot(blockedSet)
                 .toVector
-                .map { e =>
-                  val objs  = kb.objectsOf.getOrElse(e, Set.empty)
-                  val inter = (pageSet & objs).size
-                  val union = pageSet.size + objs.size - inter
-                  (e, if (union == 0) 0.0 else inter.toDouble / union)
-                }
+                .map(e => (e, jaccard(pageSet, e, kb)))
                 .filter(_._2 > 0)
               scored.sortBy { case (e, s) => (-s, e) }.headOption.map { case (e, s) =>
                 PageTopic(p.site, p.pageId, p.cluster, e, kb.nameOf(e), path, s)

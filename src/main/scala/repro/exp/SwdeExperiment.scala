@@ -38,7 +38,7 @@ object SwdeExperiment {
   )(implicit spark: SparkSession): Vector[SiteRun] = {
     val work = for {
       vd <- Verticals.all(pagesPerSite, seed)
-      site <- vd.sites
+      site <- vd.sites.take(nSites)
       system <- systems
     } yield (vd, site, system)
     Par.map(work) { case (vd, site, system) =>

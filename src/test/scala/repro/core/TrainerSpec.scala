@@ -7,21 +7,27 @@ class TrainerSpec extends SparkSpec {
   import spark.implicits._
 
   test("NodeClassifier softmax sums to one") {
-    val c = new Trainer.NodeClassifier(Vector("A", "B", "OTHER"),
-      Array(Array.fill(repro.util.FeatureHash.Dim)(0.0),
-            Array.fill(repro.util.FeatureHash.Dim)(0.1),
-            Array.fill(repro.util.FeatureHash.Dim)(0.0)),
-      Array(0.0, 0.5, -0.5))
+    val c = new Trainer.NodeClassifier(Vector("A", "B", "OTHER"), Map("f1" -> 0, "f2" -> 1),
+      Array(Array(0.0, 0.0), Array(0.1, 0.1), Array(0.0, 0.0)), Array(0.0, 0.5, -0.5))
     val p = c.probabilities(Seq("f1", "f2"))
     assert(math.abs(p.sum - 1.0) < 1e-9)
     assert(p.forall(x => x >= 0 && x <= 1))
   }
   test("NodeClassifier predict returns argmax") {
-    val dim = repro.util.FeatureHash.Dim
-    val coefA = Array.fill(dim)(0.0); coefA(repro.util.FeatureHash.indexOf("fa")) = 5.0
-    val c = new Trainer.NodeClassifier(Vector("A", "OTHER"), Array(coefA, Array.fill(dim)(0.0)), Array(0.0, 0.0))
+    val c = new Trainer.NodeClassifier(Vector("A", "OTHER"), Map("fa" -> 0),
+      Array(Array(5.0), Array(0.0)), Array(0.0, 0.0))
     assert(c.predict(Seq("fa"))._1 == "A")
     assert(c.predict(Seq("fz"))._2 == 0.5) // no signal: uniform over 2 classes
+  }
+  test("NodeClassifier drops unseen features: margins stay at the intercepts") {
+    val intercept = Array(0.3, -0.2, 0.1)
+    val c = new Trainer.NodeClassifier(Vector("A", "B", "OTHER"), Map("f" -> 0),
+      Array(Array(1.0), Array(2.0), Array(3.0)), intercept)
+    val z = intercept.map(math.exp).sum
+    assert(c.probabilities(Seq("unseen", "also-unseen")).toVector == c.probabilities(Nil).toVector)
+    c.probabilities(Seq("unseen")).zip(intercept).foreach { case (p, b) =>
+      assert(math.abs(p - math.exp(b) / z) < 1e-12)
+    }
   }
 
   test("train learns a separable toy problem") {
@@ -36,6 +42,44 @@ class TrainerSpec extends SparkSpec {
     assert(m.predict(Seq("isx"))._1 == "X")
     assert(m.predict(Seq("isy"))._1 == "Y")
     assert(m.predict(Seq("iso"))._1 == Trainer.OtherLabel)
+  }
+
+  private def assertAllOther(m: Trainer.NodeClassifier): Unit = {
+    assert(m.labels == Vector(Trainer.OtherLabel))
+    Seq(Nil, Seq("isx"), Seq("never-seen", "isy")).foreach { f =>
+      assert(m.predict(f) == (Trainer.OtherLabel, 1.0))
+    }
+  }
+
+  test("train on only OTHER examples labels every node OTHER with probability 1") {
+    implicit val s = spark
+    assertAllOther(Trainer.train(spark.createDataset(
+      (1 to 20).map(i => Trainer.Example(Trainer.OtherLabel, Seq("iso", s"noise$i"))))))
+  }
+
+  test("train on an empty set labels every node OTHER with probability 1") {
+    implicit val s = spark
+    assertAllOther(Trainer.train(spark.emptyDataset[Trainer.Example]))
+  }
+
+  test("train on a single example labels every node OTHER with probability 1") {
+    implicit val s = spark
+    assertAllOther(Trainer.train(spark.createDataset(Seq(Trainer.Example("X", Seq("isx"))))))
+  }
+
+  test("train does not depend on the partitioning of its examples") {
+    implicit val s = spark
+    val ex = spark.createDataset(
+      (1 to 60).flatMap(i => Seq(
+        Trainer.Example("X", Seq("isx", s"noise${i % 7}", s"odd${i % 2}")),
+        Trainer.Example("Y", Seq("isy", s"noise${i % 5}")),
+        Trainer.Example(Trainer.OtherLabel, Seq("iso", s"noise${i % 3}", "isx")))))
+    val one   = Trainer.train(ex.repartition(1))
+    val eight = Trainer.train(ex.repartition(8))
+    assert(one.labels == eight.labels)
+    ex.collect().foreach { e =>
+      assert(one.probabilities(e.features).toVector == eight.probabilities(e.features).toVector)
+    }
   }
 
   test("buildExamples yields positives for annotations and ~negRatio negatives") {
